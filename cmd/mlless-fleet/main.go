@@ -9,12 +9,11 @@
 //	mlless-fleet -tenants 3 -jobs 20 -seed 42
 //	mlless-fleet -tenants 4 -jobs 60 -quota 8 -max-concurrent 16 -events fleet.log
 //	mlless-fleet -tenants 2 -jobs 10 -json fleet.json
-//	mlless-fleet -tenants 4 -jobs 60 -host-par 8 -events fleet.log
 //
-// Jobs whose virtual windows overlap execute concurrently on -host-par
-// goroutines (0 = GOMAXPROCS); the control-plane event log (-events) is
-// byte-identical across same-seed invocations at every -host-par value
-// — CI pins this with a two-run cmp and a cross-parallelism cmp.
+// Jobs stamped from one workload template share executions through the
+// fleet's outcome memo (DESIGN.md §15). The control-plane event log
+// (-events) is byte-identical across same-seed invocations — CI pins
+// this with a two-run cmp.
 package main
 
 import (
@@ -47,7 +46,6 @@ func run() error {
 		maxConc   = flag.Int("max-concurrent", 14, "platform-wide concurrent-activation cap (0 = provider default)")
 		maxSteps  = flag.Int("max-steps", 120, "per-job step cap")
 		noScaleIn = flag.Bool("no-scale-in", false, "disable contention-triggered shrink requests")
-		hostPar   = flag.Int("host-par", 0, "host worker pool for concurrent job execution (0 = GOMAXPROCS; output is byte-identical at every value)")
 		events    = flag.String("events", "", "write the control-plane event log to this file")
 		jsonOut   = flag.String("json", "", "write the full fleet report as JSON to this file")
 		quiet     = flag.Bool("quiet", false, "suppress the event log on stdout")
@@ -75,9 +73,6 @@ func run() error {
 	if *maxConc < 0 {
 		return fmt.Errorf("-max-concurrent must be >= 0, got %d", *maxConc)
 	}
-	if *hostPar < 0 {
-		return fmt.Errorf("-host-par must be >= 0, got %d", *hostPar)
-	}
 	if *quota > 0 && *maxConc > 0 && *quota > *maxConc {
 		return fmt.Errorf("-quota %d exceeds -max-concurrent %d: a tenant could never use its allocation", *quota, *maxConc)
 	}
@@ -102,7 +97,6 @@ func run() error {
 	}
 	rep, err := tenant.Run(tenant.Config{
 		Cluster: cl, Tenants: ts, Arrivals: arrivals, NoScaleIn: *noScaleIn,
-		HostPar: *hostPar,
 	})
 	if err != nil {
 		return err

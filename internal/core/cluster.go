@@ -83,34 +83,17 @@ func NewClusterWithShards(shards int) *Cluster {
 	}
 }
 
-// nextJobID allocates a unique namespace prefix for a job's keys and
+// NextJobID allocates a unique namespace prefix for a job's keys and
 // queues: "jobN" standalone, "<tenant>/jobN" for a tenant's job. The
 // counter is cluster-wide, so jobs of different tenants sharing one
 // substrate can never collide on a key, queue, bucket or billing label
-// (jobNamespace documents the scheme).
-func (c *Cluster) nextJobID(tenant string) string {
+// (jobNamespace documents the scheme). Run calls it once per job; the
+// fleet scheduler calls it for an admission it replays from its outcome
+// memo instead of running, so numbering follows admission order either
+// way.
+func (c *Cluster) NextJobID(tenant string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.jobID++
 	return jobNamespace(tenant, c.jobID)
 }
-
-// ReserveJobIDs advances the cluster-wide job counter by n and returns
-// the first reserved number (numbers are 1-based: the first Run on a
-// fresh cluster gets job 1). The fleet scheduler reserves its whole
-// trace up front and assigns numbers in admission order, so forked
-// executions land on exactly the namespaces a host-serial run would
-// have allocated (DESIGN.md §15). Use RunNumbered to run a job under a
-// reserved number.
-func (c *Cluster) ReserveJobIDs(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first := c.jobID + 1
-	c.jobID += n
-	return first
-}
-
-// JobNamespace returns the key/queue/billing namespace prefix a job
-// numbered num under tenant would use: "jobN" standalone,
-// "<tenant>/jobN" for a tenant's job.
-func JobNamespace(tenant string, num int) string { return jobNamespace(tenant, num) }

@@ -69,18 +69,6 @@ type engine struct {
 
 // Run executes a training job on the cluster and returns its result.
 func Run(cl *Cluster, job Job) (*Result, error) {
-	return run(cl, job, "")
-}
-
-// RunNumbered executes a training job under a job number previously
-// reserved with Cluster.ReserveJobIDs, bypassing the cluster's own
-// counter. The fleet scheduler uses it so forked executions keep the
-// exact namespaces a host-serial admission order would allocate.
-func RunNumbered(cl *Cluster, job Job, num int) (*Result, error) {
-	return run(cl, job, jobNamespace(job.Spec.Tenant, num))
-}
-
-func run(cl *Cluster, job Job, id string) (*Result, error) {
 	job.Spec = job.Spec.withDefaults()
 	if err := job.validate(job.Spec.MemoryMiB); err != nil {
 		return nil, err
@@ -88,13 +76,10 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 	if exchange.IsCollective(job.Spec.Exchange) && cl.Redis.NumShards() > 1 {
 		return nil, ErrExchangeShards
 	}
-	if id == "" {
-		id = cl.nextJobID(job.Spec.Tenant)
-	}
 	e := &engine{
 		cl:       cl,
 		job:      job,
-		id:       id,
+		id:       cl.NextJobID(job.Spec.Tenant),
 		smoother: fit.NewEWMA(job.Spec.LossAlpha),
 		tr:       job.Trace,
 	}

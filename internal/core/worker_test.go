@@ -49,7 +49,7 @@ func pullTestEngine(t *testing.T, workers int) (*Cluster, *engine) {
 	e := &engine{
 		cl:       cl,
 		job:      job,
-		id:       cl.nextJobID(""),
+		id:       cl.NextJobID(""),
 		smoother: fit.NewEWMA(job.Spec.LossAlpha),
 	}
 	if err := e.setup(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"mlless/internal/core"
@@ -28,12 +27,6 @@ import (
 // Quick runs a 12-job trace; the full trace is 60 jobs (the ISSUE's
 // >= 50). Both are pure functions of the seed: the control-plane event
 // log is byte-identical across runs (CI pins this via mlless-fleet).
-//
-// The experiment also sweeps the fleet's host worker pool over 1, 2, 4
-// and 8 goroutines, re-running the identical trace at each width and
-// recording the wall clock: the speedup column is the tentpole's
-// deliverable, and the event log is byte-compared across widths so the
-// sweep doubles as a determinism check.
 func AblTenancy(opts Options) (Table, error) {
 	start := time.Now()
 	jobs := 60
@@ -46,6 +39,16 @@ func AblTenancy(opts Options) (Table, error) {
 		meanGap = 1500 * time.Millisecond
 	)
 
+	// One shared substrate for the whole fleet, with a cap tight enough
+	// that the trace contends: every workload zoo dataset is staged
+	// once, under its own bucket.
+	cl := core.NewCluster()
+	pcfg := cl.Platform.Config()
+	pcfg.MaxConcurrent = platCap
+	cl.Platform = faas.NewPlatformWithRegistry(pcfg, cl.Metrics)
+
+	mix := ZooTemplates(cl, 120)
+
 	tenants := []tenant.Tenant{
 		{Name: "t1", Quota: 10},
 		{Name: "t2", Quota: 10},
@@ -56,42 +59,13 @@ func AblTenancy(opts Options) (Table, error) {
 	for i, t := range tenants {
 		names[i] = t.Name
 	}
-
-	// One fresh substrate per sweep point — the trace, templates and
-	// staging are all pure functions of the seed, so every width replays
-	// the identical fleet. Only tenant.Run is timed: staging and dataset
-	// generation are setup, not the subject.
-	pars := []int{1, 2, 4, 8}
-	walls := make([]time.Duration, len(pars))
-	var rep *tenant.Report
-	var cl *core.Cluster
-	var baseLog string
-	for i, par := range pars {
-		cl = core.NewCluster()
-		pcfg := cl.Platform.Config()
-		pcfg.MaxConcurrent = platCap
-		cl.Platform = faas.NewPlatformWithRegistry(pcfg, cl.Metrics)
-		mix := ZooTemplates(cl, 120)
-		arrivals, err := tenant.GenerateArrivals(seed, names, mix, jobs, meanGap)
-		if err != nil {
-			return Table{}, fmt.Errorf("abl-tenancy: %w", err)
-		}
-		t0 := time.Now()
-		rep, err = tenant.Run(tenant.Config{Cluster: cl, Tenants: tenants, Arrivals: arrivals, HostPar: par})
-		if err != nil {
-			return Table{}, fmt.Errorf("abl-tenancy: host-par %d: %w", par, err)
-		}
-		walls[i] = time.Since(t0)
-
-		var log strings.Builder
-		if err := rep.WriteEvents(&log); err != nil {
-			return Table{}, fmt.Errorf("abl-tenancy: %w", err)
-		}
-		if i == 0 {
-			baseLog = log.String()
-		} else if log.String() != baseLog {
-			return Table{}, fmt.Errorf("abl-tenancy: host-par %d event log diverged from host-par %d", par, pars[0])
-		}
+	arrivals, err := tenant.GenerateArrivals(seed, names, mix, jobs, meanGap)
+	if err != nil {
+		return Table{}, fmt.Errorf("abl-tenancy: %w", err)
+	}
+	rep, err := tenant.Run(tenant.Config{Cluster: cl, Tenants: tenants, Arrivals: arrivals})
+	if err != nil {
+		return Table{}, fmt.Errorf("abl-tenancy: %w", err)
 	}
 
 	// The billing invariant the control plane exists to keep: tenant
@@ -112,7 +86,6 @@ func AblTenancy(opts Options) (Table, error) {
 				rep.ThroughputPerHour, rep.Makespan.Round(time.Millisecond), rep.Jain,
 				rep.P50Latency.Round(time.Millisecond), rep.P99Latency.Round(time.Millisecond), rep.ScaleIns),
 			"per-tenant func-time sums exactly to the platform's billed function seconds (checked every run)",
-			hostParNote(pars, walls),
 		},
 	}
 	for _, tr := range rep.Tenants {
@@ -126,7 +99,7 @@ func AblTenancy(opts Options) (Table, error) {
 		})
 	}
 
-	if err := writeTenancyBench(opts.ArtifactDir, rep, jobs, platCap, seed, meanGap, time.Since(start), pars, walls); err != nil {
+	if err := writeTenancyBench(opts.ArtifactDir, rep, jobs, platCap, seed, meanGap, time.Since(start)); err != nil {
 		return Table{}, fmt.Errorf("abl-tenancy: %w", err)
 	}
 	return t, nil
@@ -173,29 +146,9 @@ type benchSection struct {
 	Notes   []string        `json:"notes,omitempty"`
 }
 
-// hostParNote summarizes the host-parallelism sweep for the table.
-func hostParNote(pars []int, walls []time.Duration) string {
-	var b strings.Builder
-	b.WriteString("host-parallelism sweep (identical trace, byte-identical event log):")
-	for i, par := range pars {
-		fmt.Fprintf(&b, " par=%d %v (%.2fx)", par, walls[i].Round(time.Millisecond), speedup(walls, i))
-	}
-	fmt.Fprintf(&b, " on %d host cores", runtime.NumCPU())
-	return b.String()
-}
-
-// speedup is walls[0]/walls[i], the sweep's wall-clock gain over the
-// single-goroutine run.
-func speedup(walls []time.Duration, i int) float64 {
-	if walls[i] <= 0 {
-		return 0
-	}
-	return float64(walls[0]) / float64(walls[i])
-}
-
 // writeTenancyBench emits BENCH_tenancy.json into dir (the working
 // directory when empty), mirroring the repo's other BENCH artifacts.
-func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed uint64, meanGap, wall time.Duration, pars []int, walls []time.Duration) error {
+func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed uint64, meanGap, wall time.Duration) error {
 	doc := struct {
 		Description string `json:"description"`
 		Host        struct {
@@ -206,7 +159,6 @@ func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed u
 		} `json:"host"`
 		Fleet    benchSection `json:"fleet"`
 		Tenants  benchSection `json:"tenants"`
-		HostPar  benchSection `json:"host_parallelism"`
 		Headline string       `json:"headline"`
 	}{}
 	doc.Description = fmt.Sprintf("Multi-tenant control plane (DESIGN.md §14): mlless-bench -experiment abl-tenancy. "+
@@ -251,18 +203,6 @@ func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed u
 			round6(tr.FunctionDollars),
 			round4(tr.MeanSlowdown),
 			tr.MaxWait.Round(time.Millisecond).String(),
-		})
-	}
-	doc.HostPar = benchSection{
-		Columns: []string{"host_par", "wall_clock", "speedup_vs_1"},
-		Notes: []string{
-			"each width re-runs the identical seeded trace with Config.HostPar goroutines executing overlapping virtual windows; the control-plane event log is byte-compared across widths before the point is recorded",
-			"speedup saturates at min(host cores, mean virtual overlap of the trace); single-core hosts record ~1.0x by construction",
-		},
-	}
-	for i, par := range pars {
-		doc.HostPar.Points = append(doc.HostPar.Points, []interface{}{
-			par, walls[i].Round(time.Millisecond).String(), round2(speedup(walls, i)),
 		})
 	}
 	doc.Headline = fmt.Sprintf("%d jobs from %d tenants share one simulated substrate under a %d-activation cap: "+

@@ -488,9 +488,8 @@ func (p *Platform) WarmPool() int {
 }
 
 // SetWarmPool overwrites the warm-container pool. The fleet scheduler
-// uses it to preset a forked platform with the shared pool's value at a
-// job's admission instant, and to write the pool's post-fold value back
-// onto the shared platform (DESIGN.md §15).
+// uses it to apply a memoized job's net warm-pool change (DESIGN.md
+// §15).
 func (p *Platform) SetWarmPool(n int) {
 	if n < 0 {
 		panic("faas: negative warm pool")
@@ -522,10 +521,10 @@ func (p *Platform) BilledRuns() []BilledRun {
 }
 
 // AbsorbBilled appends runs to the platform's bill, preserving their
-// order and claimed marks. The fleet scheduler folds a forked
-// platform's bill (with job labels relocated to their final namespace)
-// into the shared platform so BillTo and BilledFunctionSeconds see
-// exactly what a host-serial run would have recorded.
+// order and claimed marks. The fleet scheduler appends a memoized job's
+// runs (with job labels relocated to its namespace) so BillTo and
+// BilledFunctionSeconds see exactly what executing the job would have
+// recorded.
 func (p *Platform) AbsorbBilled(runs []BilledRun) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

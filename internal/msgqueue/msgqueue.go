@@ -71,10 +71,6 @@ func NewWithRegistry(link netmodel.Link, reg *trace.Registry) *Broker {
 // Registry returns the metrics registry the broker's counters live in.
 func (b *Broker) Registry() *trace.Registry { return b.pipe.Registry() }
 
-// Link returns the broker's network link parameters, so a sandboxed
-// execution can build a private broker with identical timing.
-func (b *Broker) Link() netmodel.Link { return b.pipe.Link() }
-
 // SetTracer installs (or, with nil, removes) a tracer recording one
 // span per operation on the calling clock's track, with any injected
 // fault delay recorded as a "fault_x" charge multiplier. Same

@@ -12,9 +12,9 @@ import (
 // Template stamps out fresh copies of one workload. New must return an
 // identical job every call — same spec, same initial model and
 // optimizer state, referencing datasets already staged on the fleet's
-// cluster. The host-parallel fleet engine leans on that identity:
-// arrivals stamped from one template are interchangeable executions, so
-// their results memoize by template key (see Arrival.TemplateKey).
+// cluster. The fleet's outcome memo leans on that identity: arrivals
+// stamped from one template are interchangeable executions, so their
+// results memoize by template key (see Arrival.TemplateKey).
 type Template struct {
 	// Name labels the workload in reports and events.
 	Name string

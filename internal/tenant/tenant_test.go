@@ -17,10 +17,11 @@ import (
 )
 
 // testCluster builds a shared substrate with a tiny MovieLens dataset
-// staged under bucket "ml", capped at maxConcurrent activations.
-func testCluster(t testing.TB, maxConcurrent int) (*core.Cluster, int) {
+// staged under bucket "ml", capped at maxConcurrent activations, with
+// the KV tier split over shards endpoints.
+func testCluster(t testing.TB, maxConcurrent, shards int) (*core.Cluster, int) {
 	t.Helper()
-	cl := core.NewCluster()
+	cl := core.NewClusterWithShards(shards)
 	if maxConcurrent > 0 {
 		cfg := cl.Platform.Config()
 		cfg.MaxConcurrent = maxConcurrent
@@ -50,7 +51,12 @@ func pmfTemplate(name string, batches, workers, steps int) Template {
 
 func testFleet(t testing.TB, seed uint64, maxConcurrent, jobs int) (Config, []Arrival) {
 	t.Helper()
-	cl, n := testCluster(t, maxConcurrent)
+	return testShardedFleet(t, seed, maxConcurrent, jobs, 1)
+}
+
+func testShardedFleet(t testing.TB, seed uint64, maxConcurrent, jobs, shards int) (Config, []Arrival) {
+	t.Helper()
+	cl, n := testCluster(t, maxConcurrent, shards)
 	mix := []Template{pmfTemplate("pmf-a", n, 2, 25), pmfTemplate("pmf-b", n, 3, 30)}
 	arrivals, err := GenerateArrivals(seed, []string{"t1", "t2", "t3"}, mix, jobs, 200*time.Millisecond)
 	if err != nil {
@@ -206,7 +212,7 @@ func TestFleetEventLogOrderedAndLabelled(t *testing.T) {
 }
 
 func TestFleetConfigValidation(t *testing.T) {
-	cl, n := testCluster(t, 8)
+	cl, n := testCluster(t, 8, 1)
 	tpl := pmfTemplate("pmf", n, 2, 4)
 	mk := func() Arrival { return Arrival{Tenant: "t1", Workload: "pmf", Job: tpl.New()} }
 
@@ -227,6 +233,8 @@ func TestFleetConfigValidation(t *testing.T) {
 			Tenants: []Tenant{{Name: "t1"}, {Name: "t1"}}}, ErrDupTenant},
 		{"empty tenant name", Config{Cluster: cl,
 			Tenants: []Tenant{{Name: ""}}}, core.ErrBadTenant},
+		{"slash in tenant name", Config{Cluster: cl,
+			Tenants: []Tenant{{Name: "a/b"}}}, core.ErrBadTenant},
 		{"demand over quota", Config{Cluster: cl,
 			Tenants:  []Tenant{{Name: "t1", Quota: 2}},
 			Arrivals: []Arrival{mk()}}, ErrNeverFits},
