@@ -30,21 +30,24 @@ func (m *linReg) Name() string         { return "linreg" }
 func (m *linReg) NumParams() int       { return len(m.params) }
 func (m *linReg) Params() mlless.Dense { return m.params }
 
-func (m *linReg) predict(x *mlless.Vector) float64 {
-	return x.Dot(m.params) + m.params[m.dim]
+// predict returns wᵀx + b for sample k of the batch.
+func (m *linReg) predict(b mlless.BatchView, k int) float64 {
+	return b.Dot(k, m.params) + m.params[m.dim]
 }
 
-// Gradient returns the averaged squared-error gradient (e·x per sample)
-// with active-coordinate L2.
-func (m *linReg) Gradient(batch []mlless.Sample) *mlless.Vector {
+// GradientView returns the averaged squared-error gradient (e·x per
+// sample) with active-coordinate L2. Models read each fetched batch
+// straight off its zero-copy view: Label, Dot and ForEachPair.
+func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
 	g := new(mlless.Vector)
-	if len(batch) == 0 {
+	n := b.Len()
+	if n == 0 {
 		return g
 	}
-	inv := 1 / float64(len(batch))
-	for _, s := range batch {
-		e := m.predict(s.Features) - s.Label
-		s.Features.ForEach(func(i uint32, val float64) {
+	inv := 1 / float64(n)
+	for k := 0; k < n; k++ {
+		e := m.predict(b, k) - b.Label(k)
+		b.ForEachPair(k, func(i uint32, val float64) {
 			g.Add(i, inv*(e*val+m.l2*m.params[i]))
 		})
 		g.Add(uint32(m.dim), inv*e)
@@ -52,18 +55,27 @@ func (m *linReg) Gradient(batch []mlless.Sample) *mlless.Vector {
 	return g
 }
 
-// Loss is root mean squared error.
-func (m *linReg) Loss(batch []mlless.Sample) float64 {
-	if len(batch) == 0 {
+// LossView is the mean squared error.
+func (m *linReg) LossView(b mlless.BatchView) float64 {
+	n := b.Len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range batch {
-		e := m.predict(s.Features) - s.Label
+	for k := 0; k < n; k++ {
+		e := m.predict(b, k) - b.Label(k)
 		sum += e * e
 	}
-	return sum / float64(len(batch))
+	return sum / float64(n)
 }
+
+// Gradient and Loss evaluate in-memory samples through the view
+// kernels.
+func (m *linReg) Gradient(batch []mlless.Sample) *mlless.Vector {
+	return m.GradientView(mlless.ViewOf(batch))
+}
+
+func (m *linReg) Loss(batch []mlless.Sample) float64 { return m.LossView(mlless.ViewOf(batch)) }
 
 func (m *linReg) ApplyUpdate(u *mlless.Vector) { m.params.AddSparse(u) }
 

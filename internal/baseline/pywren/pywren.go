@@ -105,7 +105,13 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	batches := dataset.NewCache(cos, job.Bucket)
+	// The driver resolves the shard geometry before the first round,
+	// off the training clock.
+	var setup vclock.Clock
+	batches, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+	if err != nil {
+		return nil, fmt.Errorf("pywren: %w", err)
+	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 	faasCfg := platform.Config()
 
@@ -156,9 +162,9 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 			if err != nil {
 				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
 			}
-			lossSum += mdl.Loss(batch)
-			gradSum.AddVector(mdl.Gradient(batch))
-			mclk.Advance(computeTime(1.5 * mdl.GradientWork(len(batch))))
+			lossSum += mdl.LossView(batch)
+			gradSum.AddVector(mdl.GradientView(batch))
+			mclk.Advance(computeTime(1.5 * mdl.GradientWork(batch.Len())))
 			// Write the local update back — densely.
 			cos.Put(&mclk, bucketState, fmt.Sprintf("%s-upd-%d", stateKey, w), make([]byte, denseBytes))
 			if mclk.Now() > slowestMap {

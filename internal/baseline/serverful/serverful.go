@@ -121,7 +121,13 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	batches := dataset.NewCache(cos, job.Bucket)
+	// The driver resolves the shard geometry before the first round,
+	// off the training clock.
+	var setup vclock.Clock
+	batches, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+	if err != nil {
+		return nil, fmt.Errorf("serverful: %w", err)
+	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 
 	denseBytes := sparse.DenseEncodedSize(mdl.NumParams())
@@ -150,9 +156,9 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 			if fetch.Now() > slowest {
 				slowest = fetch.Now()
 			}
-			lossSum += mdl.Loss(batch)
-			gradSum.AddVector(mdl.Gradient(batch))
-			batchLen = len(batch)
+			lossSum += mdl.LossView(batch)
+			gradSum.AddVector(mdl.GradientView(batch))
+			batchLen = batch.Len()
 		}
 		clk.Advance(slowest)
 		if tr.Enabled() {

@@ -27,10 +27,8 @@ func testLRJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	}
 	ds := dataset.GenerateCriteo(cfg)
 	var clk vclock.Clock
+	dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
 	n := dataset.Stage(ds, cl.COS, &clk, "criteo", 250, 1)
-	if err := dataset.NormalizeMinMax(cl.COS, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
 	spec.Workers = workers
 	return cl, Job{
 		Spec:       spec,

@@ -38,12 +38,6 @@ var (
 	// sharded KV tier: the collectives move updates through object
 	// storage, so extra KV shards would only add idle rented VMs.
 	ErrExchangeShards = errors.New("core: the scatter/tree exchange strategies bypass the KV tier; run them with a single shard")
-	// ErrUnknownData reports an unrecognized Spec.Data value.
-	ErrUnknownData = errors.New("core: unknown data tier")
-	// ErrModelNoView reports a shard-tier job whose model does not
-	// implement model.ViewModel, the zero-copy evaluation interface the
-	// shard data path requires.
-	ErrModelNoView = errors.New("core: the shard data tier requires a model implementing model.ViewModel")
 	// ErrBadTenant reports a tenant name containing '/', which would
 	// break the collision-free namespace construction (the namespace is
 	// the name's first '/'-separated segment; see faas.NamespaceOf).
@@ -58,18 +52,6 @@ var (
 	// ErrBadShrink reports a shrink directive with a non-positive worker
 	// count or a negative time.
 	ErrBadShrink = errors.New("core: shrink directives need Workers >= 1 and At >= 0")
-)
-
-// Data tiers selectable via Spec.Data.
-const (
-	// DataBatch is the row-encoded tier: every fetch GETs a full
-	// encoded mini-batch object and decodes it into []dataset.Sample.
-	// The default; traces are byte-identical to pre-shard builds.
-	DataBatch = "batch"
-	// DataShard is the streaming columnar tier: batches live as
-	// contiguous blocks inside shard blobs, each fetch is one ranged
-	// GET, and models evaluate straight off the zero-copy BatchView.
-	DataShard = "shard"
 )
 
 // Spec is the tunable configuration of a training job.
@@ -132,13 +114,6 @@ type Spec struct {
 	// TreeFanout is the tree exchange's fan-in degree (0 selects the
 	// default of 4; meaningful only with Exchange == "tree").
 	TreeFanout int
-	// Data selects the dataset tier the workers fetch from: DataBatch
-	// (the default) reads and decodes whole mini-batch objects;
-	// DataShard issues one ranged GET per step against the staged
-	// columnar shards (see internal/shard) and computes on the
-	// zero-copy view. Both tiers produce bit-identical loss histories
-	// for the same staged samples.
-	Data string
 	// Driver selects the simulation execution core: DriverPar (the
 	// default) runs each lookahead group's workers on a goroutine pool;
 	// DriverSeq runs them one at a time. The two produce byte-identical
@@ -209,9 +184,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Exchange == "" {
 		s.Exchange = exchange.KindParamServer
 	}
-	if s.Data == "" {
-		s.Data = DataBatch
-	}
 	return s
 }
 
@@ -224,7 +196,8 @@ type Job struct {
 	Model model.Model
 	// Optimizer is the prototype optimizer (cloned per worker).
 	Optimizer optimizer.Optimizer
-	// Bucket is the object-store bucket holding the staged mini-batches.
+	// Bucket is the object-store bucket holding the staged mini-batches
+	// (dataset.Stage's shards and manifest).
 	Bucket string
 	// NumBatches is the staged mini-batch count.
 	NumBatches int
@@ -284,15 +257,6 @@ func (j Job) validate(memoryMiB int) error {
 	}
 	if _, err := driverFor(j.Spec.Driver); err != nil {
 		return err
-	}
-	switch j.Spec.Data {
-	case DataBatch:
-	case DataShard:
-		if _, ok := j.Model.(model.ViewModel); !ok {
-			return fmt.Errorf("%w (model %q)", ErrModelNoView, j.Model.Name())
-		}
-	default:
-		return fmt.Errorf("%w %q (want %q or %q)", ErrUnknownData, j.Spec.Data, DataBatch, DataShard)
 	}
 	// A replica must fit beside optimizer state and a mini-batch in
 	// function memory: ~8 bytes/param for the model plus ~16 for

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -39,19 +40,16 @@ func TestSplit(t *testing.T) {
 }
 
 func TestEncodeDecodeRatingBatch(t *testing.T) {
-	batch := []Sample{
+	bv := ViewOf([]Sample{
 		{User: 1, Item: 2, Label: 4.5},
 		{User: 99, Item: 100000, Label: 1},
+	})
+	if !bv.IsRating() {
+		t.Fatal("rating batch lost its kind")
 	}
-	got, err := DecodeBatch(EncodeBatch(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].User != 1 || got[1].Item != 100000 || got[0].Label != 4.5 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if !got[0].IsRating() {
-		t.Fatal("decoded rating sample lost its kind")
+	if bv.Len() != 2 || bv.User(0) != 1 || bv.Item(1) != 100000 || bv.Rating(0) != 4.5 || bv.Rating(1) != 1 {
+		t.Fatalf("round trip: len %d, (%d,%d,%v) (%d,%d,%v)",
+			bv.Len(), bv.User(0), bv.Item(0), bv.Rating(0), bv.User(1), bv.Item(1), bv.Rating(1))
 	}
 }
 
@@ -59,27 +57,26 @@ func TestEncodeDecodeFeatureBatch(t *testing.T) {
 	v := sparse.New()
 	v.Set(7, 1.25)
 	v.Set(100012, -3)
-	batch := []Sample{{Features: v, Label: 1, User: -1, Item: -1}}
-	got, err := DecodeBatch(EncodeBatch(batch))
-	if err != nil {
-		t.Fatal(err)
+	bv := ViewOf([]Sample{{Features: v, Label: 1, User: -1, Item: -1}})
+	if bv.IsRating() {
+		t.Fatal("feature batch viewed as ratings")
 	}
-	if got[0].IsRating() {
-		t.Fatal("feature sample decoded as rating")
-	}
-	if got[0].Label != 1 || got[0].Features.Get(7) != 1.25 || got[0].Features.Get(100012) != -3 {
-		t.Fatalf("round trip = %+v", got[0])
+	if bv.Label(0) != 1 || !bv.Features(0).Equal(v) {
+		t.Fatalf("round trip: label %v features %v", bv.Label(0), bv.Features(0))
 	}
 }
 
+// TestEncodeDecodeMixedBatchProperty round-trips random batches of
+// either kind through ViewOf; a batch mixing the kinds panics.
 func TestEncodeDecodeMixedBatchProperty(t *testing.T) {
 	rng := xrand.New(5)
 	if err := quick.Check(func(seed uint64) bool {
 		r := xrand.New(seed ^ rng.Uint64())
 		n := r.Intn(20)
+		rating := r.Bernoulli(0.5)
 		batch := make([]Sample, n)
 		for i := range batch {
-			if r.Bernoulli(0.5) {
+			if rating {
 				batch[i] = Sample{User: r.Intn(1000), Item: r.Intn(1000), Label: r.Float64() * 5}
 			} else {
 				v := sparse.New()
@@ -89,19 +86,19 @@ func TestEncodeDecodeMixedBatchProperty(t *testing.T) {
 				batch[i] = Sample{Features: v, Label: float64(r.Intn(2)), User: -1, Item: -1}
 			}
 		}
-		got, err := DecodeBatch(EncodeBatch(batch))
-		if err != nil || len(got) != n {
+		bv := ViewOf(batch)
+		if bv.Len() != n || (n > 0 && bv.IsRating() != rating) {
 			return false
 		}
-		for i := range batch {
-			if got[i].Label != batch[i].Label || got[i].IsRating() != batch[i].IsRating() {
+		for i, s := range batch {
+			if bv.Label(i) != s.Label {
 				return false
 			}
-			if batch[i].IsRating() {
-				if got[i].User != batch[i].User || got[i].Item != batch[i].Item {
+			if rating {
+				if bv.User(i) != s.User || bv.Item(i) != s.Item {
 					return false
 				}
-			} else if !got[i].Features.Equal(batch[i].Features) {
+			} else if !bv.Features(i).Equal(s.Features) {
 				return false
 			}
 		}
@@ -109,24 +106,45 @@ func TestEncodeDecodeMixedBatchProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a batch mixing rating and feature samples was accepted")
+		}
+	}()
+	ViewOf([]Sample{{User: 1, Item: 2, Label: 3}, {Features: sparse.New(), Label: 1, User: -1, Item: -1}})
 }
 
+// TestDecodeBatchErrors: corrupt staged objects surface as errors at
+// open or fetch time, never as panics or silently short batches.
 func TestDecodeBatchErrors(t *testing.T) {
-	if _, err := DecodeBatch(nil); err == nil {
-		t.Fatal("nil buffer accepted")
+	stage := func() *objstore.Store {
+		store := objstore.New(netmodel.Link{})
+		var clk vclock.Clock
+		Stage(GenerateMovieLens(smallMovieLens()), store, &clk, "ml", 100, 1)
+		return store
 	}
-	batch := []Sample{{User: 1, Item: 2, Label: 3}}
-	buf := EncodeBatch(batch)
-	if _, err := DecodeBatch(buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncated buffer accepted")
+	var clk vclock.Clock
+	for name, corrupt := range map[string]func(blob []byte) []byte{
+		"truncated": func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing":  func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
+		"bad magic": func(b []byte) []byte { return append([]byte{0}, b[1:]...) },
+		"garbage":   func([]byte) []byte { return []byte("not a shard") },
+	} {
+		store := stage()
+		blob, _ := store.PeekView("ml", ShardKey(0))
+		store.Put(&clk, "ml", ShardKey(0), corrupt(blob))
+		sc, err := OpenShardCache(store, &clk, "ml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Fetch(&clk, 0); err == nil {
+			t.Errorf("%s shard fetched", name)
+		}
 	}
-	if _, err := DecodeBatch(append(buf, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	bad := append([]byte(nil), buf...)
-	bad[4] = 9 // unknown kind
-	if _, err := DecodeBatch(bad); err == nil {
-		t.Fatal("unknown kind accepted")
+	store := stage()
+	store.Put(&clk, "ml", ShardManifestKey, []byte("short"))
+	if _, err := OpenShardCache(store, &clk, "ml"); err == nil {
+		t.Error("corrupt manifest accepted")
 	}
 }
 
@@ -211,14 +229,18 @@ func TestStageAndFetch(t *testing.T) {
 	}
 	total := 0
 	seen := make(map[[2]int]int)
+	sc, err := OpenShardCache(store, &clk, "ml")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
-		batch, err := FetchBatch(store, &clk, "ml", i)
+		bv, err := sc.Fetch(&clk, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(batch)
-		for _, s := range batch {
-			seen[[2]int{s.User, s.Item}]++
+		total += bv.Len()
+		for k := 0; k < bv.Len(); k++ {
+			seen[[2]int{bv.User(k), bv.Item(k)}]++
 		}
 	}
 	if total != ds.Len() {
@@ -236,11 +258,22 @@ func TestStageAndFetch(t *testing.T) {
 	}
 }
 
+// TestFetchBatchMissing: a staged bucket whose shard object is gone
+// fails the fetch with ErrNotFound.
 func TestFetchBatchMissing(t *testing.T) {
 	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
-	if _, err := FetchBatch(store, &clk, "none", 0); err == nil {
-		t.Fatal("missing batch fetched")
+	Stage(GenerateMovieLens(smallMovieLens()), store, &clk, "ml", 100, 1)
+	store.Delete(&clk, "ml", ShardKey(1))
+	sc, err := OpenShardCache(store, &clk, "ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Fetch(&clk, 0); err != nil {
+		t.Fatalf("batch in a present shard: %v", err)
+	}
+	if _, err := sc.Fetch(&clk, DefaultBatchesPerShard); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("batch in a deleted shard: got %v, want ErrNotFound", err)
 	}
 }
 
@@ -272,30 +305,19 @@ func TestNormalizeMinMax(t *testing.T) {
 	cfg := smallCriteo()
 	cfg.Samples = 500
 	ds := GenerateCriteo(cfg)
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	n := Stage(ds, store, &clk, "criteo", 100, 9)
-	if err := NormalizeMinMax(store, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
+	NormalizeInPlace(ds, cfg.NumericFeatures)
 	sawLow, sawHigh := false, false
-	for i := 0; i < n; i++ {
-		batch, err := FetchBatch(store, &clk, "criteo", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range batch {
-			for f := 0; f < cfg.NumericFeatures; f++ {
-				v := s.Features.Get(uint32(f))
-				if v < 0 || v > 1 {
-					t.Fatalf("normalized feature %d = %v outside [0,1]", f, v)
-				}
-				if v < 0.01 {
-					sawLow = true
-				}
-				if v > 0.5 {
-					sawHigh = true
-				}
+	for _, s := range ds.Samples {
+		for f := 0; f < cfg.NumericFeatures; f++ {
+			v := s.Features.Get(uint32(f))
+			if v < 0 || v > 1 {
+				t.Fatalf("normalized feature %d = %v outside [0,1]", f, v)
+			}
+			if v < 0.01 {
+				sawLow = true
+			}
+			if v > 0.5 {
+				sawHigh = true
 			}
 		}
 	}
@@ -305,20 +327,14 @@ func TestNormalizeMinMax(t *testing.T) {
 }
 
 func TestNormalizeMinMaxNoNumeric(t *testing.T) {
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	if err := NormalizeMinMax(store, &clk, "none", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormalizeRejectsRatingBatches(t *testing.T) {
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	ds := GenerateMovieLens(smallMovieLens())
-	n := Stage(ds, store, &clk, "ml", 100, 1)
-	if err := NormalizeMinMax(store, &clk, "ml", n, 13); err == nil {
-		t.Fatal("rating batches accepted by feature normalization")
+	cfg := smallCriteo()
+	cfg.Samples = 50
+	ds, raw := GenerateCriteo(cfg), GenerateCriteo(cfg)
+	NormalizeInPlace(ds, 0)
+	for i, s := range ds.Samples {
+		if !s.Features.Equal(raw.Samples[i].Features) {
+			t.Fatalf("sample %d changed with no numeric features to scale", i)
+		}
 	}
 }
 
@@ -349,55 +365,72 @@ func TestCriteoAttainableLoss(t *testing.T) {
 	}
 }
 
+// TestCacheChargesEveryFetch: fetching every staged batch charges each
+// one its own block's ranged read, across shard boundaries.
 func TestCacheChargesEveryFetch(t *testing.T) {
 	link := netmodel.Link{Latency: 10 * time.Millisecond, BandwidthBps: 1e6}
 	store := objstore.New(link)
 	var stage vclock.Clock
-	ds := GenerateMovieLens(smallMovieLens())
-	n := Stage(ds, store, &stage, "ml", 1000, 5)
-	if n < 2 {
-		t.Fatal("need at least 2 batches")
+	n := Stage(GenerateMovieLens(smallMovieLens()), store, &stage, "ml", 250, 5)
+	if n <= DefaultBatchesPerShard {
+		t.Fatalf("need more than one shard, staged %d batches", n)
 	}
-	cache := NewCache(store, "ml")
+	cache, err := OpenShardCache(store, &stage, "ml")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var clk vclock.Clock
-	if _, err := cache.Fetch(&clk, 0); err != nil {
-		t.Fatal(err)
+	var want time.Duration
+	for i := 0; i < n; i++ {
+		if _, err := cache.Fetch(&clk, i); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := cache.shard(i / DefaultBatchesPerShard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, blockLen := sh.BatchExtent(i % DefaultBatchesPerShard)
+		want += link.TransferTime(blockLen)
 	}
-	first := clk.Now()
-	if _, err := cache.Fetch(&clk, 0); err != nil {
-		t.Fatal(err)
-	}
-	second := clk.Now() - first
-	// The cached fetch must charge the same transfer time: workers
-	// re-download each iteration even though the decode is cached.
-	if second != first {
-		t.Fatalf("cached fetch charged %v, first charged %v", second, first)
+	if clk.Now() != want {
+		t.Fatalf("fetching all %d batches charged %v, want %v", n, clk.Now(), want)
 	}
 }
 
+// TestCacheReturnsSameDecode: the CPU-side parse happens once per
+// shard, however often its batches are fetched.
 func TestCacheReturnsSameDecode(t *testing.T) {
 	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
-	ds := GenerateMovieLens(smallMovieLens())
-	Stage(ds, store, &clk, "ml", 1000, 5)
-	cache := NewCache(store, "ml")
-	a, err := cache.Fetch(&clk, 1)
+	Stage(GenerateMovieLens(smallMovieLens()), store, &clk, "ml", 100, 5)
+	cache, err := OpenShardCache(store, &clk, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.Fetch(&clk, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, i := range []int{1, 1, 2} {
+		if _, err := cache.Fetch(&clk, i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if &a[0] != &b[0] {
-		t.Fatal("cache re-decoded the batch")
+	a, _ := cache.shard(0)
+	b, _ := cache.shard(0)
+	if a != b || len(cache.shards) != 1 {
+		t.Fatalf("shard 0 parsed more than once (%d parsed shards)", len(cache.shards))
 	}
 }
 
+// TestCacheMissingBatch: a manifest promising more batches than the
+// last shard holds fails the fetch instead of serving a stray block.
 func TestCacheMissingBatch(t *testing.T) {
-	cache := NewCache(objstore.New(netmodel.Link{}), "none")
+	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
-	if _, err := cache.Fetch(&clk, 3); err == nil {
+	n := Stage(GenerateMovieLens(smallMovieLens()), store, &clk, "ml", 1000, 5)
+	WriteShardManifest(store, &clk, "ml", n+1, 1000, DefaultBatchesPerShard)
+	cache, err := OpenShardCache(store, &clk, "ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.Fetch(&clk, n); err == nil {
 		t.Fatal("missing batch fetched")
 	}
 }

@@ -1,85 +1,27 @@
 package dataset
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
 	"mlless/internal/netmodel"
 	"mlless/internal/objstore"
 	"mlless/internal/vclock"
 )
 
-// TestNormalizeChargesOneReadPerPass pins the billing of the streaming
-// NormalizeMinMax: per batch, exactly one charged read for the extrema
-// pass, one charged read plus one charged write for the rewrite pass —
-// and nothing else. (The old implementation decoded every batch twice;
-// the I/O bill is the contract that must not regress either way.)
-func TestNormalizeChargesOneReadPerPass(t *testing.T) {
-	link := netmodel.Link{Latency: 10 * time.Millisecond, BandwidthBps: 1e6}
-	store := objstore.New(link)
-	cfg := smallCriteo()
-	cfg.Samples = 400
-	ds := GenerateCriteo(cfg)
-	var stageClk vclock.Clock
-	n := Stage(ds, store, &stageClk, "criteo", 80, 5)
-
-	rawSizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		blob, ok := store.PeekView("criteo", BatchKey(i))
-		if !ok {
-			t.Fatalf("batch %d missing", i)
-		}
-		rawSizes[i] = len(blob)
-	}
-
-	var clk vclock.Clock
-	if err := NormalizeMinMax(store, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
-
-	var want time.Duration
-	for i := 0; i < n; i++ {
-		// Pass 1 and pass 2 each read the raw batch once...
-		want += 2 * link.TransferTime(rawSizes[i])
-		// ...and pass 2 writes the scaled batch back (its size can shrink:
-		// scaling a coordinate to exactly 0 drops it from the encoding).
-		blob, _ := store.PeekView("criteo", BatchKey(i))
-		want += link.TransferTime(len(blob))
-	}
-	if clk.Now() != want {
-		t.Fatalf("normalize charged %v, want %v (one read per pass per batch)", clk.Now(), want)
-	}
-}
-
-// TestNormalizeMatchesInPlace pins the equivalence the shard staging
-// path depends on: normalizing in memory then staging produces
-// byte-identical batches to staging raw then running the staged
-// min-max passes.
+// TestNormalizeMatchesInPlace pins NormalizeInPlace-then-Stage to a
+// golden recorded from the staged two-pass map-reduce normalization it
+// replaced (stage raw batches, then rescale them in object storage):
+// the staged samples are bit-identical.
 func TestNormalizeMatchesInPlace(t *testing.T) {
 	cfg := smallCriteo()
 	cfg.Samples = 400
-	const batchSize, seed = 80, 5
-
-	staged := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	n := Stage(GenerateCriteo(cfg), staged, &clk, "a", batchSize, seed)
-	if err := NormalizeMinMax(staged, &clk, "a", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
-
 	ds := GenerateCriteo(cfg)
 	NormalizeInPlace(ds, cfg.NumericFeatures)
-	inplace := objstore.New(netmodel.Link{})
-	if m := Stage(ds, inplace, &clk, "b", batchSize, seed); m != n {
-		t.Fatalf("restage produced %d batches, want %d", m, n)
-	}
-
-	for i := 0; i < n; i++ {
-		a, _ := staged.PeekView("a", BatchKey(i))
-		b, _ := inplace.PeekView("b", BatchKey(i))
-		if !bytes.Equal(a, b) {
-			t.Fatalf("batch %d bytes differ between staged and in-place normalization", i)
-		}
+	store := objstore.New(netmodel.Link{})
+	var clk vclock.Clock
+	Stage(ds, store, &clk, "a", 80, 5)
+	const batches, golden = 5, "e9450ef370419cf1c0ef6a28e5d90e73"
+	if n, d := stagedDigest(t, store, "a"); n != batches || d != golden {
+		t.Fatalf("staged %d batches digest %s, golden %d batches digest %s", n, d, batches, golden)
 	}
 }

@@ -1,23 +1,73 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"mlless/internal/objstore"
+	"mlless/internal/shard"
 	"mlless/internal/vclock"
 	"mlless/internal/xrand"
 )
 
-// BatchKey names staged mini-batch object i. Zero-padded so List order
+// DefaultBatchesPerShard is how many mini-batches a staged shard
+// packs: large enough to amortize the per-object overhead, small
+// enough that a shard stays a convenient transfer unit.
+const DefaultBatchesPerShard = 8
+
+// ShardKey names staged shard object i. Zero-padded so List order
 // equals numeric order.
-func BatchKey(i int) string { return fmt.Sprintf("batch/%08d", i) }
+func ShardKey(i int) string { return fmt.Sprintf("shard/%08d", i) }
+
+// ShardManifestKey names the staging manifest describing a bucket's
+// shard geometry.
+const ShardManifestKey = "shard/manifest"
+
+const (
+	manifestMagic   = 0x314d534d // "MSM1"
+	manifestVersion = 1
+	manifestSize    = 20
+)
+
+// EncodeShardManifest serializes the shard geometry of a staged bucket.
+func EncodeShardManifest(numBatches, batchSize, batchesPerShard int) []byte {
+	buf := make([]byte, manifestSize)
+	binary.LittleEndian.PutUint32(buf, manifestMagic)
+	binary.LittleEndian.PutUint32(buf[4:], manifestVersion)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(numBatches))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(batchSize))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(batchesPerShard))
+	return buf
+}
+
+// DecodeShardManifest parses a staging manifest.
+func DecodeShardManifest(buf []byte) (numBatches, batchSize, batchesPerShard int, err error) {
+	if len(buf) != manifestSize {
+		return 0, 0, 0, fmt.Errorf("dataset: shard manifest is %d bytes, want %d", len(buf), manifestSize)
+	}
+	if m := binary.LittleEndian.Uint32(buf); m != manifestMagic {
+		return 0, 0, 0, fmt.Errorf("dataset: shard manifest bad magic %#x", m)
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != manifestVersion {
+		return 0, 0, 0, fmt.Errorf("dataset: shard manifest unsupported version %d", v)
+	}
+	numBatches = int(binary.LittleEndian.Uint32(buf[8:]))
+	batchSize = int(binary.LittleEndian.Uint32(buf[12:]))
+	batchesPerShard = int(binary.LittleEndian.Uint32(buf[16:]))
+	if batchesPerShard <= 0 {
+		return 0, 0, 0, fmt.Errorf("dataset: shard manifest batchesPerShard %d", batchesPerShard)
+	}
+	return numBatches, batchSize, batchesPerShard, nil
+}
 
 // Stage shuffles the dataset deterministically (seed) into mini-batches
-// of size batchSize and uploads them to bucket in the object store,
-// charging the transfers to clk. It returns the number of staged batches.
-// This is the role PyWren-IBM plays in §3.2: putting the dataset into COS
-// in "the appropriate format".
+// of size batchSize and uploads them to bucket as columnar shard blobs
+// plus a manifest, charging the transfers to clk. It returns the number
+// of staged batches. This is the role PyWren-IBM plays in §3.2: putting
+// the dataset into COS in "the appropriate format". Batches are packed
+// DefaultBatchesPerShard to a shard, each batch one contiguous block a
+// worker fetches with a single ranged read.
 func Stage(ds *Dataset, store *objstore.Store, clk *vclock.Clock, bucket string, batchSize int, seed uint64) int {
 	rng := xrand.New(seed)
 	order := rng.Perm(ds.Len())
@@ -26,68 +76,150 @@ func Stage(ds *Dataset, store *objstore.Store, clk *vclock.Clock, bucket string,
 		shuffled[i] = ds.Samples[j]
 	}
 	tmp := Dataset{Samples: shuffled}
-	batches := tmp.Split(batchSize)
-	for i, b := range batches {
-		store.Put(clk, bucket, BatchKey(i), EncodeBatch(b))
+	return StageBatches(tmp.Split(batchSize), store, clk, bucket, batchSize)
+}
+
+// StageBatches uploads already-ordered mini-batches the way Stage does,
+// without shuffling: staged batch i holds batches[i]. It returns the
+// number of staged batches.
+func StageBatches(batches [][]Sample, store *objstore.Store, clk *vclock.Clock, bucket string, batchSize int) int {
+	b := shard.NewBuilder()
+	shardIdx := 0
+	flush := func() {
+		store.Put(clk, bucket, ShardKey(shardIdx), b.Finish())
+		shardIdx++
+		b.Reset()
 	}
+	for i, batch := range batches {
+		addBatch(b, batch)
+		if (i+1)%DefaultBatchesPerShard == 0 {
+			flush()
+		}
+	}
+	if len(batches)%DefaultBatchesPerShard != 0 {
+		flush()
+	}
+	WriteShardManifest(store, clk, bucket, len(batches), batchSize, DefaultBatchesPerShard)
 	return len(batches)
 }
 
-// FetchBatch downloads and decodes staged mini-batch i from bucket.
-func FetchBatch(store *objstore.Store, clk *vclock.Clock, bucket string, i int) ([]Sample, error) {
-	buf, err := store.Get(clk, bucket, BatchKey(i))
-	if err != nil {
-		return nil, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
+// addBatch appends batch to the builder and seals it as one block.
+func addBatch(b *shard.Builder, batch []Sample) {
+	for _, s := range batch {
+		if s.IsRating() {
+			b.AddRating(s.User, s.Item, s.Label)
+		} else {
+			b.AddFeature(s.Label, s.Features)
+		}
 	}
-	batch, err := DecodeBatch(buf)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
-	}
-	return batch, nil
+	b.EndBatch()
 }
 
-// Cache is a decoded-mini-batch cache over one staged bucket. Every
-// Fetch still performs (and charges) the full object-store transfer —
-// workers re-download batches each iteration exactly as in the paper —
-// but the CPU-side decode, which is simulator overhead rather than
-// modeled time, happens once per batch. The returned slices are shared:
-// callers must treat batches as read-only.
+// ViewOf packs an in-memory batch into a one-batch shard and returns
+// its view: what a worker would fetch had the batch been staged. It
+// allocates the shard on every call; training fetches views through a
+// ShardCache instead. A batch mixing rating and feature samples panics,
+// like shard.Builder.
+func ViewOf(batch []Sample) shard.BatchView {
+	b := shard.NewBuilder()
+	addBatch(b, batch)
+	sh, err := shard.Parse(b.Finish())
+	if err != nil {
+		panic("dataset: ViewOf: " + err.Error())
+	}
+	return sh.Batch(0)
+}
+
+// ShardCache serves the staged batches of one bucket. Every Fetch
+// performs (and charges) an object-store transfer — one ranged read of
+// the batch's block inside its shard; workers re-download batches each
+// iteration exactly as in the paper — while the CPU-side parse,
+// simulator overhead rather than modeled time, happens once per shard
+// via an uncharged peek. Views alias the store's immutable
+// snapshots (Put copies on write), so they stay valid across later
+// writes.
 //
-// Cache is safe for concurrent use.
-type Cache struct {
-	store  *objstore.Store
-	bucket string
+// ShardCache is safe for concurrent use.
+type ShardCache struct {
+	store           *objstore.Store
+	bucket          string
+	numBatches      int
+	batchSize       int
+	batchesPerShard int
 
-	mu sync.Mutex
-	m  map[int][]Sample
+	mu     sync.Mutex
+	shards map[int]*shard.Shard
 }
 
-// NewCache returns a cache over the staged batches of bucket.
-func NewCache(store *objstore.Store, bucket string) *Cache {
-	return &Cache{store: store, bucket: bucket, m: make(map[int][]Sample)}
-}
-
-// Fetch charges the transfer of batch i to clk and returns its decoded
-// (possibly cached) samples.
-func (c *Cache) Fetch(clk *vclock.Clock, i int) ([]Sample, error) {
-	buf, err := c.store.Get(clk, c.bucket, BatchKey(i))
+// OpenShardCache reads the staging manifest of bucket (one charged
+// object read) and returns a cache over its shards.
+func OpenShardCache(store *objstore.Store, clk *vclock.Clock, bucket string) (*ShardCache, error) {
+	buf, err := store.Get(clk, bucket, ShardManifestKey)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
+		return nil, fmt.Errorf("dataset: open shard cache: %w", err)
 	}
+	numBatches, batchSize, batchesPerShard, err := DecodeShardManifest(buf)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: open shard cache: %w", err)
+	}
+	return &ShardCache{
+		store:           store,
+		bucket:          bucket,
+		numBatches:      numBatches,
+		batchSize:       batchSize,
+		batchesPerShard: batchesPerShard,
+		shards:          make(map[int]*shard.Shard),
+	}, nil
+}
+
+// NumBatches returns the staged batch count from the manifest.
+func (c *ShardCache) NumBatches() int { return c.numBatches }
+
+// BatchSize returns the staged batch size from the manifest.
+func (c *ShardCache) BatchSize() int { return c.batchSize }
+
+// Fetch charges the ranged read of batch i's block to clk and returns
+// its zero-copy view.
+func (c *ShardCache) Fetch(clk *vclock.Clock, i int) (shard.BatchView, error) {
+	if i < 0 || i >= c.numBatches {
+		return shard.BatchView{}, fmt.Errorf("dataset: fetch batch %d of %d", i, c.numBatches)
+	}
+	si, bi := i/c.batchesPerShard, i%c.batchesPerShard
+	sh, err := c.shard(si)
+	if err != nil {
+		return shard.BatchView{}, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
+	}
+	if bi >= sh.NumBatches() {
+		return shard.BatchView{}, fmt.Errorf("dataset: fetch batch %d: shard %d holds %d batches", i, si, sh.NumBatches())
+	}
+	off, n := sh.BatchExtent(bi)
+	if _, err := c.store.GetRangeView(clk, c.bucket, ShardKey(si), off, n); err != nil {
+		return shard.BatchView{}, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
+	}
+	return sh.Batch(bi), nil
+}
+
+// shard returns the parsed form of shard si, parsing it on first use
+// from an uncharged peek at the stored bytes.
+func (c *ShardCache) shard(si int) (*shard.Shard, error) {
 	c.mu.Lock()
-	batch, ok := c.m[i]
+	sh, ok := c.shards[si]
 	c.mu.Unlock()
 	if ok {
-		return batch, nil
+		return sh, nil
 	}
-	batch, err = DecodeBatch(buf)
+	blob, ok := c.store.PeekView(c.bucket, ShardKey(si))
+	if !ok {
+		return nil, fmt.Errorf("shard %d: %w", si, objstore.ErrNotFound)
+	}
+	sh, err := shard.Parse(blob)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: fetch batch %d: %w", i, err)
+		return nil, fmt.Errorf("shard %d: %w", si, err)
 	}
 	c.mu.Lock()
-	c.m[i] = batch
+	c.shards[si] = sh
 	c.mu.Unlock()
-	return batch, nil
+	return sh, nil
 }
 
 // Plan deterministically assigns staged batch indices to (worker, step)

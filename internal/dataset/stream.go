@@ -63,7 +63,7 @@ type ShardSink interface {
 }
 
 // ObjstoreSink stages shard blobs into a bucket, charging clk — the
-// streaming counterpart of StageShards' uploads. Callers finish the
+// streaming counterpart of Stage's uploads. Callers finish the
 // bucket with WriteShardManifest.
 type ObjstoreSink struct {
 	Store  *objstore.Store
@@ -84,7 +84,7 @@ func WriteShardManifest(store *objstore.Store, clk *vclock.Clock, bucket string,
 }
 
 // FileSink writes shard blobs as shard-%08d.shard files under Dir —
-// the on-disk tier mlless-datagen emits and shard.OpenFile mmaps back.
+// the on-disk tier mlless-datagen emits.
 type FileSink struct{ Dir string }
 
 // WriteShard implements ShardSink.
@@ -114,7 +114,7 @@ func (c *CountSink) WriteShard(_ int, blob []byte) error {
 // (hashing trick, ground-truth score, label, columnar encode — all
 // draw-free). Shards carry samples in generation order — the draws are
 // i.i.d., so no materialized shuffle is needed — and numeric features
-// stay raw, like GenerateCriteo's output before NormalizeMinMax.
+// stay raw, like GenerateCriteo's output before NormalizeInPlace.
 func StreamCriteo(cfg CriteoConfig, sc StreamConfig, sink ShardSink) (StreamStats, error) {
 	sc = sc.withDefaults()
 	rng := xrand.New(cfg.Seed)

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"mlless/internal/core"
-	"mlless/internal/dataset"
 	"mlless/internal/faas"
 	"mlless/internal/tenant"
-	"mlless/internal/vclock"
 )
 
 // AblTenancy exercises the multi-tenant control plane (DESIGN.md §14):
@@ -112,14 +110,10 @@ func AblTenancy(opts Options) (Table, error) {
 // the given step bound. Shared by abl-tenancy and mlless-fleet.
 func ZooTemplates(cl *core.Cluster, maxSteps int) []tenant.Template {
 	zoo := []*Workload{LRCriteo(true), SVMCriteo(true), PMF1M(true)}
-	var clk vclock.Clock
 	mix := make([]tenant.Template, len(zoo))
 	for i, w := range zoo {
 		w := w
-		w.stage()
-		for j, buf := range w.staged {
-			cl.COS.Put(&clk, w.Name, dataset.BatchKey(j), buf)
-		}
+		w.put(cl)
 		workers := 2 + i
 		mix[i] = tenant.Template{
 			Name:   w.Name,
@@ -150,16 +144,11 @@ type benchSection struct {
 // directory when empty), mirroring the repo's other BENCH artifacts.
 func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed uint64, meanGap, wall time.Duration) error {
 	doc := struct {
-		Description string `json:"description"`
-		Host        struct {
-			OS    string `json:"os"`
-			Arch  string `json:"arch"`
-			Cores int    `json:"cores"`
-			Wall  string `json:"regeneration_wall_clock"`
-		} `json:"host"`
-		Fleet    benchSection `json:"fleet"`
-		Tenants  benchSection `json:"tenants"`
-		Headline string       `json:"headline"`
+		Description string       `json:"description"`
+		Host        benchHost    `json:"host"`
+		Fleet       benchSection `json:"fleet"`
+		Tenants     benchSection `json:"tenants"`
+		Headline    string       `json:"headline"`
 	}{}
 	doc.Description = fmt.Sprintf("Multi-tenant control plane (DESIGN.md §14): mlless-bench -experiment abl-tenancy. "+
 		"A seeded synthetic trace of %d job arrivals (exponential inter-arrivals, mean %v, seed %d) over the "+
@@ -167,10 +156,7 @@ func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed u
 		"under per-tenant quotas, fair-share admission and contention-triggered post-knee scale-in. "+
 		"All times are virtual (simulated) and the control-plane event log is byte-identical across same-seed runs.",
 		jobs, meanGap, seed, platCap)
-	doc.Host.OS = runtime.GOOS
-	doc.Host.Arch = runtime.GOARCH
-	doc.Host.Cores = runtime.NumCPU()
-	doc.Host.Wall = wall.Round(100 * time.Millisecond).String()
+	doc.Host = hostOf(wall)
 
 	doc.Fleet = benchSection{
 		Columns: []string{"jobs", "makespan", "throughput_jobs_per_h", "jain_fairness", "p50_latency", "p99_latency", "scale_ins", "platform_function_time", "platform_function_usd"},
@@ -210,11 +196,29 @@ func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed u
 		"%d workers are handed back under contention, and the platform bill splits across tenants to the exact GB-second.",
 		len(rep.Jobs), len(rep.Tenants), platCap, rep.Jain, rep.P99Latency.Round(time.Millisecond), rep.ScaleIns)
 
+	return writeBench(dir, "BENCH_tenancy.json", doc)
+}
+
+// benchHost is the host block of a BENCH_*.json artifact.
+type benchHost struct {
+	OS    string `json:"os"`
+	Arch  string `json:"arch"`
+	Cores int    `json:"cores"`
+	Wall  string `json:"regeneration_wall_clock"`
+}
+
+func hostOf(wall time.Duration) benchHost {
+	return benchHost{runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), wall.Round(100 * time.Millisecond).String()}
+}
+
+// writeBench emits one BENCH_*.json artifact into dir (the working
+// directory when empty).
+func writeBench(dir, name string, doc interface{}) error {
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_tenancy.json"), append(buf, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, name), append(buf, '\n'), 0o644)
 }
 
 func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }

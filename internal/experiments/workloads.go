@@ -6,6 +6,8 @@ import (
 	"mlless/internal/core"
 	"mlless/internal/dataset"
 	"mlless/internal/model"
+	"mlless/internal/netmodel"
+	"mlless/internal/objstore"
 	"mlless/internal/optimizer"
 	"mlless/internal/shard"
 	"mlless/internal/vclock"
@@ -36,9 +38,15 @@ type Workload struct {
 	newOpt     func() optimizer.Optimizer
 	generate   func() *dataset.Dataset
 	stageOnce  sync.Once
-	staged     [][]byte
+	staged     []stagedObject // the staged bucket: shard blobs and manifest
 	numBatch   int
 	ratingMean float64
+}
+
+// stagedObject is one object of a staged bucket.
+type stagedObject struct {
+	key string
+	buf []byte
 }
 
 // workload caches are package-level so repeated experiment runs reuse
@@ -59,29 +67,59 @@ func cached(key string, build func() *Workload) *Workload {
 	return w
 }
 
-// stage encodes the shuffled mini-batches once.
+// stage generates and stages the dataset once, keeping the staged
+// objects for fast re-staging.
 func (w *Workload) stage() {
 	w.stageOnce.Do(func() {
 		ds := w.generate()
 		w.ratingMean = ds.RatingMean
 		// Deterministic shuffle, identical across every system and run
 		// (part of the §6.1 sanity-check conditions).
-		tmp := &dataset.Dataset{Samples: ds.Samples}
+		scratch := objstore.New(netmodel.Link{})
 		var clk vclock.Clock
-		// Stage into a scratch store to obtain the canonical encoded
-		// batches, then keep the raw bytes for fast re-staging.
-		scratch := core.NewCluster()
-		n := dataset.Stage(tmp, scratch.COS, &clk, "scratch", w.BatchSize, 97)
-		w.numBatch = n
-		w.staged = make([][]byte, n)
-		for i := 0; i < n; i++ {
-			batch, err := dataset.FetchBatch(scratch.COS, &clk, "scratch", i)
-			if err != nil {
-				panic("experiments: staging: " + err.Error())
-			}
-			w.staged[i] = dataset.EncodeBatch(batch)
+		w.numBatch = dataset.Stage(ds, scratch, &clk, "scratch", w.BatchSize, 97)
+		for _, key := range scratch.List(&clk, "scratch", "") {
+			buf, _ := scratch.PeekView("scratch", key)
+			w.staged = append(w.staged, stagedObject{key, buf})
 		}
 	})
+}
+
+// put uploads the staged objects into the cluster's object store under
+// the workload's bucket.
+func (w *Workload) put(cl *core.Cluster) {
+	w.stage()
+	var clk vclock.Clock
+	for _, o := range w.staged {
+		cl.COS.Put(&clk, w.Name, o.key, o.buf)
+	}
+}
+
+// samples decodes the staged batches back into the shuffled sample
+// stream, in staged order.
+func (w *Workload) samples() []dataset.Sample {
+	w.stage()
+	var out []dataset.Sample
+	for _, o := range w.staged {
+		if o.key == dataset.ShardManifestKey {
+			continue
+		}
+		sh, err := shard.Parse(o.buf)
+		if err != nil {
+			panic("experiments: restage: " + err.Error())
+		}
+		for i := 0; i < sh.NumBatches(); i++ {
+			v := sh.Batch(i)
+			for k := 0; k < v.Len(); k++ {
+				if v.IsRating() {
+					out = append(out, dataset.Sample{User: v.User(k), Item: v.Item(k), Label: v.Rating(k)})
+				} else {
+					out = append(out, dataset.Sample{Features: v.Features(k), Label: v.Label(k), User: -1, Item: -1})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Make returns a fresh cluster with the workload staged plus the job
@@ -94,12 +132,8 @@ func (w *Workload) Make(workers int) (*core.Cluster, core.Job) {
 // MakeShards is Make with the KV exchange tier hash-partitioned over
 // the given shard count (1 reproduces Make exactly).
 func (w *Workload) MakeShards(workers, shards int) (*core.Cluster, core.Job) {
-	w.stage()
 	cl := core.NewClusterWithShards(shards)
-	var clk vclock.Clock
-	for i, buf := range w.staged {
-		cl.COS.Put(&clk, w.Name, dataset.BatchKey(i), buf)
-	}
+	w.put(cl)
 	job := core.Job{
 		Spec:       core.Spec{Workers: workers, TargetLoss: w.TargetLoss},
 		Model:      w.newModel(),
@@ -111,73 +145,20 @@ func (w *Workload) MakeShards(workers, shards int) (*core.Cluster, core.Job) {
 	return cl, job
 }
 
-// MakeData is Make with the dataset staged on the given tier
-// (core.DataBatch or core.DataShard). Both tiers hold the same samples
-// in the same batch order, so the two jobs train bit-identically.
-func (w *Workload) MakeData(workers int, data string) (*core.Cluster, core.Job) {
-	cl, job := w.Make(workers)
-	if data != core.DataShard {
-		return cl, job
-	}
-	job.Spec.Data = core.DataShard
-	var clk vclock.Clock
-	b := shard.NewBuilder()
-	si := 0
-	flush := func() {
-		cl.COS.Put(&clk, w.Name, dataset.ShardKey(si), b.Finish())
-		b.Reset()
-		si++
-	}
-	for i, buf := range w.staged {
-		batch, err := dataset.DecodeBatch(buf)
-		if err != nil {
-			panic("experiments: shard restage: " + err.Error())
-		}
-		for _, s := range batch {
-			if s.IsRating() {
-				b.AddRating(s.User, s.Item, s.Label)
-			} else {
-				b.AddFeature(s.Label, s.Features)
-			}
-		}
-		b.EndBatch()
-		if (i+1)%dataset.DefaultBatchesPerShard == 0 {
-			flush()
-		}
-	}
-	if w.numBatch%dataset.DefaultBatchesPerShard != 0 {
-		flush()
-	}
-	dataset.WriteShardManifest(cl.COS, &clk, w.Name, w.numBatch, w.BatchSize, dataset.DefaultBatchesPerShard)
-	return cl, job
-}
-
 // makeWithBatch re-stages the workload's (already shuffled) sample
 // stream at a different per-worker batch size — Table 3's
 // constant-global-batch sweep requires B to shrink as P grows.
 func makeWithBatch(w *Workload, workers, batch int) (*core.Cluster, core.Job) {
-	w.stage()
-	var samples []dataset.Sample
-	for _, buf := range w.staged {
-		b, err := dataset.DecodeBatch(buf)
-		if err != nil {
-			panic("experiments: restage: " + err.Error())
-		}
-		samples = append(samples, b...)
-	}
-	ds := &dataset.Dataset{Samples: samples}
+	ds := &dataset.Dataset{Samples: w.samples()}
 	cl := core.NewCluster()
 	var clk vclock.Clock
-	batches := ds.Split(batch)
-	for i, bb := range batches {
-		cl.COS.Put(&clk, w.Name, dataset.BatchKey(i), dataset.EncodeBatch(bb))
-	}
+	n := dataset.StageBatches(ds.Split(batch), cl.COS, &clk, w.Name, batch)
 	job := core.Job{
 		Spec:       core.Spec{Workers: workers, TargetLoss: w.TargetLoss},
 		Model:      w.newModel(),
 		Optimizer:  w.newOpt(),
 		Bucket:     w.Name,
-		NumBatches: len(batches),
+		NumBatches: n,
 		BatchSize:  batch,
 	}
 	return cl, job
@@ -214,8 +195,7 @@ func LRCriteo(quick bool) *Workload {
 			generate: func() *dataset.Dataset {
 				ds := dataset.GenerateCriteo(cfg)
 				// Min-max normalize in place (the staged form the paper
-				// prepares with PyWren-IBM map-reduce; the dataset tests
-				// pin this against the map-reduce path byte for byte).
+				// prepares with PyWren-IBM map-reduce, §3.2).
 				dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
 				return ds
 			},

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"mlless/internal/dataset"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 )
 
@@ -32,17 +33,25 @@ type Model interface {
 	// Params exposes the parameter vector. Callers must treat it as
 	// owned by the model; ApplyUpdate is the mutation path.
 	Params() sparse.Dense
-	// Gradient returns the mini-batch loss gradient, averaged over the
-	// batch, as a sparse vector over the flat parameter space.
+	// GradientView returns the mini-batch loss gradient, averaged over
+	// the batch, as a sparse vector over the flat parameter space. It
+	// reads the samples straight off the zero-copy view a worker
+	// fetched (DESIGN.md §13).
 	//
 	// The returned vector is owned by the model and remains valid only
-	// until the next Gradient call on the same instance (implementations
+	// until the next gradient call on the same instance (implementations
 	// reuse a scratch buffer — gradient accumulation is the simulator's
 	// hottest allocation site). Callers that retain it across calls must
 	// Clone it.
-	Gradient(batch []dataset.Sample) *sparse.Vector
-	// Loss evaluates the model's training loss on a batch (BCE for
+	GradientView(b shard.BatchView) *sparse.Vector
+	// LossView evaluates the model's training loss on a batch (BCE for
 	// logistic regression, RMSE for matrix factorization).
+	LossView(b shard.BatchView) float64
+	// Gradient is GradientView over an in-memory batch,
+	// GradientView(dataset.ViewOf(batch)).
+	Gradient(batch []dataset.Sample) *sparse.Vector
+	// Loss is LossView over an in-memory batch,
+	// LossView(dataset.ViewOf(batch)).
 	Loss(batch []dataset.Sample) float64
 	// ApplyUpdate adds a (already learning-rate-scaled) update to the
 	// parameters: x ← x + u.
@@ -50,7 +59,7 @@ type Model interface {
 	// Clone returns an independent deep copy of the model.
 	Clone() Model
 	// GradientWork estimates the floating-point operations of one
-	// Gradient evaluation over a batch of the given size, using the
+	// gradient evaluation over a batch of the given size, using the
 	// model's sparse representation.
 	GradientWork(batchSize int) float64
 	// DenseGradientWork estimates the flops of the same evaluation in a
@@ -59,6 +68,10 @@ type Model interface {
 	// the datasets").
 	DenseGradientWork(batchSize int) float64
 }
+
+// ViewModel is Model under the name of the former view-kernel
+// extension, kept for callers that still name it; new code uses Model.
+type ViewModel = Model
 
 // sigmoid with guard against overflow in exp.
 func sigmoid(z float64) float64 {

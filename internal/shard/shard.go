@@ -10,7 +10,7 @@
 // and feature pairs straight out of the blob's bytes — no []Sample
 // materialization, no per-fetch decoding, no per-step allocations.
 // Views are plain slices into the blob; whoever owns the blob (an
-// mmap'd file, an object-store view) owns the views' lifetime.
+// object-store view, a file read into memory) owns the views' lifetime.
 //
 // Layout (all little-endian):
 //

@@ -3,8 +3,6 @@ package shard
 import (
 	"encoding/binary"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mlless/internal/sparse"
@@ -216,27 +214,6 @@ func TestParseRejectsUnsortedPairs(t *testing.T) {
 	binary.LittleEndian.PutUint32(blob[pairOff+pairSize:], 3)
 	if _, err := Parse(blob); err == nil {
 		t.Fatal("Parse accepted unsorted pair indices")
-	}
-}
-
-func TestMapFileRoundTrip(t *testing.T) {
-	blob, _, _ := buildFeatureShard(3, 5)
-	path := filepath.Join(t.TempDir(), "test.shard")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, m, err := OpenFile(path)
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	if s.NumBatches() != 3 || s.Batch(2).Len() != 5 {
-		t.Fatalf("mapped shard: batches=%d len=%d", s.NumBatches(), s.Batch(2).Len())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, _, err := OpenFile(filepath.Join(t.TempDir(), "missing.shard")); err == nil {
-		t.Fatal("OpenFile accepted a missing file")
 	}
 }
 

@@ -33,12 +33,6 @@ func (v *Vector) EncodedSize() int {
 	return sparseHeaderSize + sparseEntrySize*v.Len()
 }
 
-// EncodedSizeFor returns the encoded size of a sparse vector with nnz
-// non-zero entries without materializing one.
-func EncodedSizeFor(nnz int) int {
-	return sparseHeaderSize + sparseEntrySize*nnz
-}
-
 // Encode serializes the vector with ascending indices (deterministic).
 func (v *Vector) Encode() []byte {
 	return v.EncodeTo(make([]byte, 0, v.EncodedSize()))
@@ -80,18 +74,9 @@ func ensureCap(buf []byte, extra int) []byte {
 	return nb
 }
 
-// Decode parses a vector produced by Encode.
-func Decode(buf []byte) (*Vector, error) {
-	v := New()
-	if err := DecodeInto(v, buf); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// DecodeInto parses an encoded sparse vector into v, replacing its
-// contents but reusing its table when large enough — the
-// zero-allocation counterpart of Decode for steady-state loops. Encoded
+// DecodeInto parses a vector produced by Encode into v, replacing its
+// contents but reusing its table when large enough, so steady-state
+// loops decode without allocating. Encoded
 // entries are ascending and unique, so the fast path inserts each one
 // directly (a single probe, no duplicate check, no incremental grows);
 // buffers violating that order fall back to Set, which remains

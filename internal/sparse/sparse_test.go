@@ -222,8 +222,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(buf) != v.EncodedSize() {
 			return false
 		}
-		got, err := Decode(buf)
-		if err != nil {
+		got := New()
+		if err := DecodeInto(got, buf); err != nil {
 			return false
 		}
 		return got.Equal(v)
@@ -242,17 +242,18 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) succeeded")
+	dst := New()
+	if err := DecodeInto(dst, nil); err == nil {
+		t.Fatal("decode of nil succeeded")
 	}
-	if _, err := Decode([]byte{1, 0, 0, 0}); err == nil {
-		t.Fatal("Decode with truncated payload succeeded")
+	if err := DecodeInto(dst, []byte{1, 0, 0, 0}); err == nil {
+		t.Fatal("decode with truncated payload succeeded")
 	}
 	v := New()
 	v.Set(1, 1)
 	buf := v.Encode()
-	if _, err := Decode(buf[:len(buf)-1]); err == nil {
-		t.Fatal("Decode with short payload succeeded")
+	if err := DecodeInto(dst, buf[:len(buf)-1]); err == nil {
+		t.Fatal("decode with short payload succeeded")
 	}
 }
 
@@ -281,16 +282,6 @@ func TestDecodeDenseErrors(t *testing.T) {
 	buf := d.Encode()
 	if _, err := DecodeDense(buf[:len(buf)-2]); err == nil {
 		t.Fatal("DecodeDense truncated buffer succeeded")
-	}
-}
-
-func TestEncodedSizeFor(t *testing.T) {
-	v := New()
-	for i := 0; i < 17; i++ {
-		v.Set(uint32(i), 1)
-	}
-	if EncodedSizeFor(17) != v.EncodedSize() {
-		t.Fatalf("EncodedSizeFor(17)=%d, EncodedSize=%d", EncodedSizeFor(17), v.EncodedSize())
 	}
 }
 
@@ -409,8 +400,8 @@ func TestAddEncodedMatchesDecodeApply(t *testing.T) {
 		buf := v.Encode()
 
 		viaDecode := NewDense(100)
-		dec, err := Decode(buf)
-		if err != nil {
+		dec := New()
+		if err := DecodeInto(dec, buf); err != nil {
 			return false
 		}
 		viaDecode.AddSparse(dec)

@@ -8,9 +8,12 @@
 // cloud: a FaaS platform with cold starts, memory-proportional CPU and
 // per-GB-second billing; a Redis-like key-value store carrying model
 // updates; a broker carrying control messages; and an object store
-// holding mini-batches. Wall-clock time and dollar costs are produced by
-// a calibrated analytical model driven by the real byte counts and
-// floating-point work of the algorithms.
+// holding the dataset as columnar shards, from which every worker
+// fetches one mini-batch per step with a single ranged read (§3.2) and
+// evaluates its model straight off the zero-copy BatchView. Wall-clock
+// time and dollar costs are produced by a calibrated analytical model
+// driven by the real byte counts and floating-point work of the
+// algorithms.
 //
 // The paper's two optimizations are implemented faithfully:
 //
@@ -24,7 +27,9 @@
 // Quickstart:
 //
 //	cluster := mlless.NewCluster()
-//	ds := mlless.GenerateCriteo(mlless.DefaultCriteoConfig())
+//	cfg := mlless.DefaultCriteoConfig()
+//	ds := mlless.GenerateCriteo(cfg)
+//	mlless.NormalizeInMemory(ds, cfg.NumericFeatures)
 //	n := mlless.StageDataset(cluster, ds, "train", 1250, 1)
 //	job := mlless.Job{
 //		Spec:       mlless.Spec{Workers: 12, Sync: mlless.ISP, Significance: 0.7, TargetLoss: 0.58},
@@ -54,6 +59,7 @@ import (
 	"mlless/internal/model"
 	"mlless/internal/optimizer"
 	"mlless/internal/sched"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -156,6 +162,10 @@ type (
 	Dataset = dataset.Dataset
 	// Sample is one training example.
 	Sample = dataset.Sample
+	// BatchView is a zero-copy view of one staged mini-batch: what a
+	// worker fetches each step and what Model.LossView and
+	// Model.GradientView read.
+	BatchView = shard.BatchView
 	// CriteoConfig parameterizes the synthetic Criteo-like generator.
 	CriteoConfig = dataset.CriteoConfig
 	// MovieLensConfig parameterizes the synthetic MovieLens-like
@@ -310,45 +320,21 @@ func GenerateMovieLens(cfg MovieLensConfig) *Dataset {
 }
 
 // StageDataset shuffles ds deterministically into mini-batches of size
-// batchSize and uploads them to the cluster's object store under bucket,
-// returning the staged batch count. For Criteo-shaped data, run
-// NormalizeDataset first.
+// batchSize and uploads them to the cluster's object store under bucket
+// as columnar shards (DESIGN.md §13), returning the staged batch count.
+// For Criteo-shaped data, run NormalizeInMemory first.
 func StageDataset(cl *Cluster, ds *Dataset, bucket string, batchSize int, seed uint64) int {
 	var clk vclock.Clock
 	return dataset.Stage(ds, cl.COS, &clk, bucket, batchSize, seed)
 }
 
-// NormalizeDataset min-max scales the numeric features of staged
-// mini-batches via the two-pass map-reduce of §3.2.
-func NormalizeDataset(cl *Cluster, bucket string, numBatches, numericFeatures int) error {
-	var clk vclock.Clock
-	return dataset.NormalizeMinMax(cl.COS, &clk, bucket, numBatches, numericFeatures)
-}
-
-// Streaming columnar dataset tier (see internal/shard and DESIGN.md
-// §13). Jobs opt in with Spec.Data = DataShard; the default DataBatch
-// keeps the row-encoded tier and its byte-identical traces.
-const (
-	// DataBatch selects the row-encoded mini-batch tier (default).
-	DataBatch = core.DataBatch
-	// DataShard selects the zero-copy columnar shard tier.
-	DataShard = core.DataShard
-)
-
-// StageDatasetShards stages ds on the columnar shard tier: the same
-// deterministic shuffle as StageDataset, packed batchesPerShard batches
-// per shard blob (0 selects the default of 8) plus a manifest. Jobs
-// over the bucket must set Spec.Data = DataShard. For Criteo-shaped
-// data, run NormalizeInMemory before staging; the two tiers then train
-// bit-identically.
-func StageDatasetShards(cl *Cluster, ds *Dataset, bucket string, batchSize, batchesPerShard int, seed uint64) int {
-	var clk vclock.Clock
-	return dataset.StageShards(ds, cl.COS, &clk, bucket, batchSize, batchesPerShard, seed)
-}
-
 // NormalizeInMemory min-max scales the numeric features of an
-// in-memory dataset — the pre-staging counterpart of NormalizeDataset,
-// producing bit-identical samples.
+// in-memory dataset to [0, 1] (the preprocessing of §3.2); run it
+// before StageDataset.
 func NormalizeInMemory(ds *Dataset, numericFeatures int) {
 	dataset.NormalizeInPlace(ds, numericFeatures)
 }
+
+// ViewOf packs an in-memory batch into the staged format and returns
+// its view, for evaluating a Model on samples held in memory.
+func ViewOf(batch []Sample) BatchView { return dataset.ViewOf(batch) }

@@ -73,11 +73,9 @@ func TestPublicAPILogReg(t *testing.T) {
 	cfg.Samples = 3000
 	cfg.HashDim = 2000
 	ds := GenerateCriteo(cfg)
+	NormalizeInMemory(ds, cfg.NumericFeatures)
 	cluster := NewCluster()
 	n := StageDataset(cluster, ds, "criteo", 250, 1)
-	if err := NormalizeDataset(cluster, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
 	job := Job{
 		Spec:       Spec{Workers: 4, MaxSteps: 80},
 		Model:      NewLogReg(ds.FeatureDim, 1e-4),
