@@ -209,10 +209,9 @@ func (a Async) Run(e *engine) (*Result, error) {
 			maxDone = st.done
 		}
 	}
+	e.xchgIDs = activeIDs(e.xchgIDs, e.workers)
 	for s := expiredThrough + 1; s <= maxDone; s++ {
-		for _, w := range e.workers {
-			e.cl.Redis.Delete(&e.sup.Clock, e.updKey(s, w.id))
-		}
+		e.xchg.Expire(&e.sup.Clock, s, e.xchgIDs)
 	}
 
 	lastStep := 0

@@ -296,9 +296,9 @@ func (e *engine) stepPull(w *Worker, c *stepCtx) error {
 	}
 
 	// Hand the pull to the exchange strategy: the parameter server
-	// batch-reads the window's update keys and streams each encoded
-	// update straight into the replica's dense parameters; collectives
-	// wait for the reduced total and apply it instead.
+	// batch-reads the window's update keys and adds each update into the
+	// replica's dense parameters; collectives wait for the reduced total
+	// and apply it instead.
 	p := &w.pull
 	p.Worker = w.id
 	p.Clock = clk

@@ -102,15 +102,21 @@ func randomSigs(p, dim, nnz int, seed int64) []*sparse.Vector {
 	return sigs
 }
 
-// runCollectiveStep drives one full exchange step the way the engine
-// does — publish all, run every round with a barrier between rounds,
-// pull all — and returns each worker's resulting dense replica delta.
+// runCollectiveStep drives step 1 the way the engine does — publish
+// all, run every round with a barrier between rounds, pull all — and
+// returns each worker's resulting dense replica delta.
 func runCollectiveStep(t *testing.T, x Exchange, ids []int, dim int, sigs []*sparse.Vector) []sparse.Dense {
+	t.Helper()
+	return runCollectiveStepAt(t, x, 1, ids, dim, sigs)
+}
+
+// runCollectiveStepAt is runCollectiveStep at an arbitrary step.
+func runCollectiveStepAt(t *testing.T, x Exchange, step int, ids []int, dim int, sigs []*sparse.Vector) []sparse.Dense {
 	t.Helper()
 	p := len(ids)
 	clocks := make([]vclock.Clock, p)
 	for i, id := range ids {
-		if _, err := x.Publish(&clocks[i], id, 1, sigs[i], ids, nil); err != nil {
+		if _, err := x.Publish(&clocks[i], id, step, sigs[i], ids, nil); err != nil {
 			t.Fatalf("publish %d: %v", id, err)
 		}
 	}
@@ -126,7 +132,7 @@ func runCollectiveStep(t *testing.T, x Exchange, ids []int, dim int, sigs []*spa
 	for r := 0; r < x.Rounds(p); r++ {
 		readyAt := maxNow()
 		for i, id := range ids {
-			if err := x.RunRound(&clocks[i], id, 1, r, ids, readyAt); err != nil {
+			if err := x.RunRound(&clocks[i], id, step, r, ids, readyAt); err != nil {
 				t.Fatalf("round %d worker %d: %v", r, id, err)
 			}
 		}
@@ -136,7 +142,7 @@ func runCollectiveStep(t *testing.T, x Exchange, ids []int, dim int, sigs []*spa
 	for i, id := range ids {
 		out[i] = make(sparse.Dense, dim)
 		pc := &PullCtx{
-			Worker: id, Clock: &clocks[i], FromStep: 0, Step: 1,
+			Worker: id, Clock: &clocks[i], FromStep: step - 1, Step: step,
 			ActiveIDs: ids, Params: out[i], OwnSig: sigs[i], ReadyAt: readyAt,
 		}
 		if _, err := x.Pull(pc); err != nil {

@@ -169,22 +169,23 @@ func (x *ScatterReduce) Pull(p *PullCtx) (int, error) {
 	p.Vals = x.env.Obj.GetMultiViewInto(p.Clock, x.env.Bucket, keys, p.Vals)
 	x.classB.Add(int64(len(keys)))
 
-	applied, vi := 0, 0
-	for c := 0; c < np; c++ {
-		buf := st.red
-		if c != pos {
-			buf = p.Vals[vi]
-			if buf == nil {
-				return 0, fmt.Errorf("missing reduced chunk %s", keys[vi])
-			}
-			vi++
+	// Reduced chunks cover disjoint index ranges, so the order they are
+	// applied in does not matter. The own chunk's partial sum is still in
+	// the accumulator that encoded it; its indices are unique, so adding
+	// it from the table adds exactly what its encoding holds.
+	applied := 0
+	for i, buf := range p.Vals {
+		if buf == nil {
+			return 0, fmt.Errorf("missing reduced chunk %s", keys[i])
 		}
-		n, err := sparse.AddEncoded(p.Params, buf)
+		u, err := x.cache.get(keys[i], buf)
 		if err != nil {
 			return 0, err
 		}
-		applied += n
+		applied += u.AddTo(p.Params)
 	}
+	p.Params.AddSparse(st.acc)
+	applied += st.acc.Len()
 	x.subtractOwn(p)
 	x.cPulls.Inc()
 	return applied, nil

@@ -131,7 +131,7 @@ func (x *TreeReduce) RunRound(clk *vclock.Clock, worker, step, round int, ids []
 }
 
 // Pull implements Exchange: rank 0 applies its accumulator locally;
-// everyone else waits for the republished total and streams it in. Both
+// everyone else waits for the republished total and applies it. Both
 // then subtract their own contribution.
 func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
 	np := len(p.ActiveIDs)
@@ -158,10 +158,11 @@ func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
 		if buf == nil {
 			return 0, fmt.Errorf("missing reduced total %s", keys[0])
 		}
-		var err error
-		if applied, err = sparse.AddEncoded(p.Params, buf); err != nil {
+		u, err := x.cache.get(keys[0], buf)
+		if err != nil {
 			return 0, err
 		}
+		applied = u.AddTo(p.Params)
 	}
 	x.subtractOwn(p)
 	x.cPulls.Inc()

@@ -152,20 +152,6 @@ func TestEncodeToDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestAddEncodedDoesNotAllocate(t *testing.T) {
-	r := xrand.New(23)
-	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
-	d := NewDense(100000)
-	if n := testing.AllocsPerRun(10, func() {
-		if _, err := AddEncoded(d, buf); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("AddEncoded allocated %v per run", n)
-	}
-}
-
 func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 	r := xrand.New(24)
 	v := randomVector(r, 100000, 1000)
@@ -261,20 +247,6 @@ func BenchmarkDecodeInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeInto(dst, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAddEncoded(b *testing.B) {
-	r := xrand.New(35)
-	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
-	d := NewDense(100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AddEncoded(d, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

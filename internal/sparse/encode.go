@@ -82,13 +82,9 @@ func ensureCap(buf []byte, extra int) []byte {
 // buffers violating that order fall back to Set, which remains
 // correct for any valid encoding.
 func DecodeInto(v *Vector, buf []byte) error {
-	if len(buf) < sparseHeaderSize {
-		return fmt.Errorf("sparse: decode: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return fmt.Errorf("sparse: decode: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := entryCount(buf, "decode")
+	if err != nil {
+		return err
 	}
 	v.reset(n)
 	off := sparseHeaderSize
@@ -109,27 +105,71 @@ func DecodeInto(v *Vector, buf []byte) error {
 	return nil
 }
 
-// AddEncoded streams an encoded sparse vector (the Encode layout)
-// directly into the dense accumulator d without materializing a map:
-// the hot path for applying peer updates. Indices outside d are ignored,
-// matching Dense.AddSparse. It returns the number of entries applied.
-func AddEncoded(d Dense, buf []byte) (int, error) {
+// Decoded is an encoded sparse vector (the Encode layout) parsed once
+// into parallel index/value slices, in wire order — ascending for every
+// Encode output. It is the merge-many form of a peer update: decoding
+// costs one pass over the wire bytes, and every later AddTo is a plain
+// indexed add with no byte parsing. The zero value is empty and ready
+// for DecodeFrom.
+type Decoded struct {
+	idx []uint32
+	val []float64
+}
+
+// DecodeFrom replaces u's contents with the entries of buf, applying
+// DecodeInto's length and format checks (and failing with its errors).
+// u's slices are reused when large enough, so a steady-state decode
+// does not allocate. On error u is left empty.
+func (u *Decoded) DecodeFrom(buf []byte) error {
+	u.idx, u.val = u.idx[:0], u.val[:0]
+	n, err := entryCount(buf, "decode")
+	if err != nil {
+		return err
+	}
+	if cap(u.idx) < n {
+		u.idx = make([]uint32, n)
+		u.val = make([]float64, n)
+	}
+	idx, val := u.idx[:n], u.val[:n]
+	off := sparseHeaderSize
+	for k := range idx {
+		idx[k] = binary.LittleEndian.Uint32(buf[off:])
+		val[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
+		off += sparseEntrySize
+	}
+	u.idx, u.val = idx, val
+	return nil
+}
+
+// Len reports the number of decoded entries.
+func (u *Decoded) Len() int { return len(u.idx) }
+
+// AddTo accumulates u into the dense vector d (d[i] += val) in wire
+// order and returns the number of entries, applied or not. Indices
+// outside d are ignored, matching Dense.AddSparse. Each call performs
+// exactly the additions a streaming pass over the wire bytes would, in
+// the same order, so replicas merged from one shared Decoded are
+// bit-identical to replicas merged from the bytes.
+func (u *Decoded) AddTo(d Dense) int {
+	val := u.val[:len(u.idx)]
+	for k, i := range u.idx {
+		if int(i) < len(d) {
+			d[i] += val[k]
+		}
+	}
+	return len(u.idx)
+}
+
+// entryCount validates buf's header against its length and returns the
+// entry count; op names the caller in errors.
+func entryCount(buf []byte, op string) (int, error) {
 	if len(buf) < sparseHeaderSize {
-		return 0, fmt.Errorf("sparse: apply encoded: short buffer (%d bytes)", len(buf))
+		return 0, fmt.Errorf("sparse: %s: short buffer (%d bytes)", op, len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	want := sparseHeaderSize + sparseEntrySize*n
 	if len(buf) != want {
-		return 0, fmt.Errorf("sparse: apply encoded: length %d, want %d for %d entries", len(buf), want, n)
-	}
-	off := sparseHeaderSize
-	for k := 0; k < n; k++ {
-		i := binary.LittleEndian.Uint32(buf[off:])
-		val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		if int(i) < len(d) {
-			d[i] += val
-		}
-		off += sparseEntrySize
+		return 0, fmt.Errorf("sparse: %s: length %d, want %d for %d entries", op, len(buf), want, n)
 	}
 	return n, nil
 }
@@ -141,13 +181,9 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 // contributions accumulate in call order, so a fixed fold order yields
 // bit-deterministic sums. It returns the number of entries folded.
 func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
-	if len(buf) < sparseHeaderSize {
-		return 0, fmt.Errorf("sparse: fold encoded: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return 0, fmt.Errorf("sparse: fold encoded: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := entryCount(buf, "fold encoded")
+	if err != nil {
+		return 0, err
 	}
 	off := sparseHeaderSize
 	for k := 0; k < n; k++ {
@@ -166,13 +202,9 @@ func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 // re-encoding. This is how the scatter exchange splits one encoded
 // update into per-chunk contributions.
 func AppendEncodedRange(dst, buf []byte, lo, hi uint32) ([]byte, error) {
-	if len(buf) < sparseHeaderSize {
-		return dst, fmt.Errorf("sparse: split encoded: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return dst, fmt.Errorf("sparse: split encoded: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := entryCount(buf, "split encoded")
+	if err != nil {
+		return dst, err
 	}
 	entry := func(k int) uint32 {
 		return binary.LittleEndian.Uint32(buf[sparseHeaderSize+k*sparseEntrySize:])
