@@ -245,6 +245,23 @@ func (v *Vector) Scale(s float64) {
 	}
 }
 
+// DropZeros removes every entry holding an exact zero (±0). Scale works
+// in place and keeps entries that underflow to zero; DropZeros restores
+// Len to the count of non-zeros.
+func (v *Vector) DropZeros() {
+	for slot := 0; slot < len(v.keys); {
+		if v.occ[slot] && v.vals[slot] == 0 {
+			// Backward-shift deletion may move a later entry into this
+			// slot, so look at it again. Entries it moves from before
+			// the slot (a probe chain wrapping the table's end) were
+			// already seen and are non-zero.
+			v.removeSlot(uint32(slot))
+			continue
+		}
+		slot++
+	}
+}
+
 // Clear removes all entries, retaining the allocation.
 func (v *Vector) Clear() {
 	for i := range v.occ {
